@@ -14,6 +14,9 @@
 #                      subprocess + CLI client; verdict byte-parity with
 #                      the serial engine, warm store hits, campaign
 #                      submit/tail/await (CI's service-smoke)
+#   make bench-e2e   - end-to-end benchmark (perfbench/run.py), one run per
+#                      workload of BENCHMARK.json; each prints its metrics
+#                      as one JSON line and exits 1 on a wrong verdict
 #   make bench       - full engine benchmark; rewrites BENCH_engine.json
 #                      (seed-vs-engine, cold-vs-cached-vs-sharded, cross-size
 #                      cache reuse, pooled reuse, reduction quotients,
@@ -24,7 +27,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test smoke lint chaos serve-smoke bench
+.PHONY: verify test smoke lint chaos serve-smoke bench bench-e2e
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,3 +48,8 @@ serve-smoke:
 
 bench:
 	$(PYTHON) benchmarks/bench_engine.py
+
+bench-e2e:
+	for workload in table1 sweep service; do \
+		python3 perfbench/run.py --workload $$workload || exit 1; \
+	done

@@ -78,7 +78,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.algorithms import get
 from repro.checking import check_terminating_exploration, explore_state_space
 from repro.core import Grid
-from repro.core.algorithm import Algorithm
+from repro.core.algorithm import Action, Algorithm, Match
+from repro.core.rules import occ
 from repro.engine import (
     REDUCTION_BENCH_CASE,
     AlgorithmTransitionSystem,
@@ -129,11 +130,28 @@ STORE_WARM_SPEEDUP_FLOOR = 10.0
 # ---------------------------------------------------------------------------
 # The seed checker, reproduced verbatim (pre-engine implementation)
 # ---------------------------------------------------------------------------
+def _seed_matches(algorithm: Algorithm, world, robot) -> List[Match]:
+    """Rule matching as the seed did it: every guard interpreted cell by cell.
+
+    Kept apart from ``Algorithm.matches_for_robot``, whose guards are now
+    compiled, so this reference keeps the seed's cost and the smoke guard's
+    kernel/seed ratio keeps measuring the engine alone.
+    """
+    snapshot = world.snapshot(robot.pos, algorithm.phi)
+    matches = []
+    for rule in algorithm.rules_for_color(robot.color):
+        for symmetry in algorithm.symmetries():
+            if rule.guard.matches(snapshot, symmetry, center_default=occ(rule.self_color)):
+                action = Action(new_color=rule.new_color, world_move=rule.world_move(symmetry))
+                matches.append(Match(rule=rule, symmetry=symmetry, action=action))
+    return matches
+
+
 def _seed_enabled_choices(algorithm: Algorithm, grid: Grid, state: SchedulerState):
     world = world_from_state(grid, state)
     choices = []
     for index, robot in enumerate(world.robots):
-        actions = algorithm.distinct_actions(algorithm.matches_for_robot(world, robot))
+        actions = algorithm.distinct_actions(_seed_matches(algorithm, world, robot))
         if actions:
             choices.append((index, actions))
     return choices
@@ -240,7 +258,9 @@ def bench_seed_vs_engine(name: str, model: str, repetitions: int) -> List[dict]:
     label = f"{name} 3x3 [{model}]"
 
     seed_s, states = _measure(lambda: len(seed_explore(algorithm, grid, model)), repetitions)
-    cold_s, _ = _measure(lambda: len(explore_state_space(algorithm, grid, model=model)), repetitions)
+    cold_s, _ = _measure(
+        lambda: len(explore_state_space(algorithm, grid, model=model, cache=MatcherCache())), repetitions
+    )
     kernel = AlgorithmTransitionSystem(algorithm, grid, model)
     kernel_s, _ = _measure(lambda: explore(kernel).num_states, repetitions)
     return [
@@ -253,8 +273,9 @@ def bench_seed_vs_engine(name: str, model: str, repetitions: int) -> List[dict]:
 def bench_fsync_4x4(repetitions: int, workers: int) -> List[dict]:
     """The PR-2 trajectory: the 4x4 FSYNC exhaustive check, three ways.
 
-    *cold* rebuilds the transition system and matcher per check (the public
-    default), *cached* threads one persistent :class:`MatcherCache` through
+    *cold* rebuilds the transition system and gives each check empty match
+    tables (a fresh :class:`MatcherCache`; the public default shares the
+    process-wide one), *cached* threads one persistent :class:`MatcherCache` through
     repeated checks (the campaign/sweep fast path), *sharded* fans the
     frontier over a ``workers``-process pool.
     """
@@ -263,7 +284,9 @@ def bench_fsync_4x4(repetitions: int, workers: int) -> List[dict]:
     label = "fsync_phi2_l2_chir_k2 4x4 [FSYNC]"
 
     cold_s, states = _measure(
-        lambda: check_terminating_exploration(algorithm, grid, model="FSYNC").states_explored,
+        lambda: check_terminating_exploration(
+            algorithm, grid, model="FSYNC", cache=MatcherCache()
+        ).states_explored,
         repetitions,
     )
 

@@ -4,22 +4,71 @@
 Produces, on stdout:
 
 1. the regenerated Table 1 (paper bounds vs. this repository's verified
-   algorithms), and
-2. an ASCII gallery of the border-pivot figure for each algorithm.
+   algorithms),
+2. the model checker's verdicts on the 3-column grids that the rows noted
+   "verified for n >= 4" leave out, and
+3. an ASCII gallery of the border-pivot figure for each algorithm.
 
-This is the script behind EXPERIMENTS.md.
+This is the script behind EXPERIMENTS.md, which ``--markdown`` writes.
 
 Usage::
 
     python examples/regenerate_paper_artifacts.py
+    python examples/regenerate_paper_artifacts.py --markdown > EXPERIMENTS.md
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import dataclasses
+import io
+
 from repro.algorithms import table1_rows
 from repro.analysis import build_table1, render_table1
+from repro.checking import check_terminating_exploration
 from repro.core import Grid, SequentialAsync, run_async, run_fsync
 from repro.viz.figures import FigureFrame, render_figure_sequence
+
+PREAMBLE = """\
+# Experiments
+
+Generated by `python examples/regenerate_paper_artifacts.py --markdown`;
+rerun it after changing an algorithm or the checker.
+
+## Where the reproduction departs from the paper
+
+- **ASYNC, phi=1, ell=3, no chirality (paper: k=6) is not reproduced.**
+  The paper gives no rule table for this row and none is registered here,
+  so Table 1 marks it "not reproduced".
+- **Four no-chirality rows are claimed for n >= 4, not n >= 3.**
+  `fsync_phi2_l2_nochir_k3` (Algorithm 2), `fsync_phi2_l1_nochir_k4`
+  (derived from it by color elimination), `async_phi2_l3_nochir_k3`
+  (Algorithm 7) and `async_phi2_l2_nochir_k4` set `min_n=4`.  On a
+  3-column grid a robot turning at the border sees both side walls two
+  cells away, so its view is its own mirror image and, without a common
+  chirality, no guard can orient the move.  The checker's verdicts on
+  m x 3 grids, with the n >= 4 restriction lifted, are listed below: the
+  first three fail from 3x3 on; `async_phi2_l2_nochir_k4` holds on every
+  m x 3 grid checked, so its restriction is conservative.
+
+The run below uses `build_table1(quick=True)`: every row's grid sweep plus
+a reduced set of randomized-scheduler seeds, and the exhaustive SSYNC
+check for the ASYNC rows.
+"""
+
+
+def gap_report() -> None:
+    print("\n=== 3-column grids left out by the n >= 4 rows (exhaustive, own synchrony) ===")
+    for algorithm in table1_rows():
+        if algorithm.min_n <= 3:
+            continue
+        relaxed = dataclasses.replace(algorithm, min_n=3)
+        for m in (2, 3, 4):
+            result = check_terminating_exploration(relaxed, Grid(m, 3), model=algorithm.synchrony)
+            print(f"{algorithm.name} {m}x3 [{algorithm.synchrony}]: "
+                  f"{'holds' if result.ok else 'FAILS'} ({result.states_explored} states)"
+                  f"{'' if result.ok else ': ' + str(result.counterexample)}")
 
 
 def figure_gallery() -> None:
@@ -43,11 +92,28 @@ def figure_gallery() -> None:
         print(result.summary())
 
 
-def main() -> int:
+def artifacts() -> None:
     print("=== Table 1: paper bounds vs. reproduced algorithms ===")
     rows = build_table1(quick=True)
     print(render_table1(rows))
+    gap_report()
     figure_gallery()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--markdown", action="store_true", help="print EXPERIMENTS.md")
+    args = parser.parse_args(argv)
+    if not args.markdown:
+        artifacts()
+        return 0
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        artifacts()
+    print(PREAMBLE)
+    print("## Output\n\n```text")
+    print(captured.getvalue().strip("\n"))
+    print("```")
     return 0
 
 

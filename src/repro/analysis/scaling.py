@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 from ..core.algorithm import Algorithm
 from ..core.errors import VerificationError
 from ..core.grid import Grid
-from ..engine.matcher import MatcherCache
+from ..engine.matcher import MatcherCache, matcher_for
 from ..engine.pool import ExplorationPool, registered
 from ..engine.reduction import ReductionSpec, normalize_reduction
 from ..engine.sharded import explore_sharded
@@ -62,7 +62,7 @@ def round_complexity_sweep(
     re-evaluating the guards.  The cache is, in order of preference, the
     caller's ``cache``, the coordinator cache of the caller's ``pool`` (so
     sweeps share warmth with every other workload threaded through that
-    :class:`~repro.engine.pool.ExplorationPool`), or a fresh one.
+    :class:`~repro.engine.pool.ExplorationPool`), or the process-wide one.
 
     ``backend`` routes the sweep's bounded executions through an
     :class:`~repro.engine.backend.ExecutionBackend` as ordinary walk
@@ -111,8 +111,8 @@ def round_complexity_sweep(
             )
             for task, report in zip(tasks, reports)
         ]
-    if cache is None:
-        cache = pool.cache if pool is not None else MatcherCache()
+    if cache is None and pool is not None:
+        cache = pool.cache
     if store is not None and registered(algorithm):
         from ..engine.campaign import verify_one  # local import: layering
 
@@ -135,7 +135,7 @@ def round_complexity_sweep(
     for m, n in sizes:
         grid = Grid(m, n)
         result = run_fsync(
-            algorithm, grid, tie_break=TieBreak.FIRST, matcher=cache.matcher_for(algorithm, grid)
+            algorithm, grid, tie_break=TieBreak.FIRST, matcher=matcher_for(algorithm, grid, cache)
         )
         points.append(
             ScalingPoint(m=m, n=n, nodes=m * n, steps=result.steps, moves=result.total_moves)

@@ -158,10 +158,10 @@ def _explore(
     above) and keeps both its coordinator-side and its per-worker matcher
     caches warm across the checks threaded through it.  Otherwise
     ``workers > 1`` fans the frontier over an ephemeral process pool (see
-    :mod:`repro.engine.sharded`), and the serial path optionally runs on a
-    matcher backed by a shared :class:`MatcherCache` so repeated checks of
-    the same algorithm — at any grid size — start warm.  Every route
-    produces the identical ``Exploration``.
+    :mod:`repro.engine.sharded`); the serial path matches on ``cache`` when
+    given, else on the process-wide table, so repeated checks of the same
+    algorithm — at any grid size — start warm.  Every route produces the
+    identical ``Exploration`` (``matcher_stats`` aside).
 
     ``kernel`` selects the successor kernel (``"object"`` / ``"packed"`` /
     ``"auto"``; see :mod:`repro.engine.packed`) on every route — it rides
@@ -200,12 +200,12 @@ def _explore(
             store=store,
         )
     # explore_sharded owns both remaining routes: workers > 1 shards over an
-    # ephemeral pool, workers <= 1 is the serial explorer on ``cache``.
+    # ephemeral pool, otherwise the serial explorer runs on ``cache``.
     return explore_sharded(
         algorithm,
         grid,
         model,
-        workers=workers if workers is not None else 1,
+        workers=workers,
         reduction=spec,
         max_states=max_states,
         start=start,
@@ -240,7 +240,7 @@ def explore_state_space(
     is the deprecated alias for ``reduction="grid"``.
 
     ``workers > 1`` shards the frontier across a process pool; ``cache``
-    reuses snapshot/match memo tables across repeated (serial) checks;
+    replaces the process-wide match table for the (serial) exploration;
     ``pool`` runs the exploration on a persistent
     :class:`~repro.engine.pool.ExplorationPool` (superseding ``workers``
     and ``cache``, which the pool manages itself); ``store`` serves the

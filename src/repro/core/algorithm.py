@@ -23,6 +23,7 @@ which one is executed when several disagree is the scheduler's choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .colors import Color
@@ -201,16 +202,27 @@ class Algorithm:
         order, then symmetry order) so that deterministic tie-breaking
         policies are reproducible.
         """
-        result: List[Match] = []
-        for rule in self.rules_for_color(color):
+        return [
+            match
+            for rule, symmetry, match in self._candidates.get(color, ())
+            if rule.matches(snapshot, symmetry)
+        ]
+
+    @cached_property
+    def _candidates(self) -> Dict[Color, Tuple[Tuple[Rule, Symmetry, Match], ...]]:
+        """Per light, every ``(rule, symmetry)`` pair with the match it yields, in match order.
+
+        Built on the first match (not at construction), and never part of
+        equality or the dataclass fields.
+        """
+        candidates: Dict[Color, List[Tuple[Rule, Symmetry, Match]]] = {}
+        for rule in self.rules:
             for symmetry in self.symmetries():
-                if rule.matches(snapshot, symmetry):
-                    action = Action(
-                        new_color=rule.new_color,
-                        world_move=rule.world_move(symmetry),
-                    )
-                    result.append(Match(rule=rule, symmetry=symmetry, action=action))
-        return result
+                action = Action(new_color=rule.new_color, world_move=rule.world_move(symmetry))
+                candidates.setdefault(rule.self_color, []).append(
+                    (rule, symmetry, Match(rule=rule, symmetry=symmetry, action=action))
+                )
+        return {color: tuple(entries) for color, entries in candidates.items()}
 
     def matches_for_robot(self, world: World, robot: Robot) -> List[Match]:
         """All matches for ``robot`` in the current ``world``."""

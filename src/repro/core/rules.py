@@ -49,6 +49,7 @@ __all__ = [
     "Rule",
     "parse_guard_art",
     "guard_to_art",
+    "clear_compiled_guards",
 ]
 
 
@@ -96,6 +97,12 @@ class CellSpec:
         # OCCUPIED
         return content is not None and content == self.colors
 
+    def allowed(self) -> Tuple[CellContent, ...]:
+        """The cell contents this constraint accepts (not defined for :data:`ANY`)."""
+        if self.kind is CellKind.OCCUPIED:
+            return (self.colors,)
+        return _ALLOWED[self.kind]
+
     def __str__(self) -> str:
         if self.kind is CellKind.OCCUPIED:
             return "{" + ",".join(self.colors) + "}"
@@ -106,6 +113,8 @@ class CellSpec:
             CellKind.ANY: "?",
         }[self.kind]
 
+
+_ALLOWED = {CellKind.WALL: (None,), CellKind.EMPTY: ((),), CellKind.FREE: (None, ())}
 
 #: The node must be empty (paper: white cell).
 EMPTY = CellSpec(CellKind.EMPTY)
@@ -157,6 +166,10 @@ Movement = Optional[str]
 
 #: The ``Idle`` movement (the robot stays on its node).
 IDLE: Movement = None
+
+#: A guard compiled for one symmetry: ``(world offset, allowed contents)``
+#: cell tests (see :meth:`Guard.compile`).
+CompiledGuard = Tuple[Tuple[Offset, Tuple[CellContent, ...]], ...]
 
 _MOVE_OFFSETS: Dict[str, Offset] = {
     "N": (-1, 0),
@@ -284,6 +297,31 @@ class Guard:
                 return False
         return True
 
+    def compile(self, symmetry: Symmetry, center_default: CellSpec) -> CompiledGuard:
+        """The guard under ``symmetry`` as a flat tuple of world-frame cell tests.
+
+        Each test is ``(world offset, allowed contents)``; the snapshot
+        satisfies the guard iff every test's cell content is one of its
+        allowed contents, exactly as :meth:`matches` decides.  Unconstrained
+        cells are dropped, and the centre and the explicitly drawn cells come
+        first: they reject most snapshots.
+        """
+        explicit = self.as_dict()
+        explicit.setdefault((0, 0), center_default)
+        ball = ball_offsets(self.phi)
+        # World offsets are the ball's own tuples: shared, and the very keys
+        # of every snapshot, so the lookups hit on identity.
+        world = {offset: offset for offset in ball}
+        order = [(0, 0)] + [offset for offset, _ in self.cells if offset != (0, 0)]
+        order += [offset for offset in ball if offset not in explicit]
+        tests = []
+        for offset in order:
+            spec = explicit.get(offset, self.default)
+            if spec.kind is not CellKind.ANY:
+                test = (world[symmetry.apply(offset)], spec.allowed())
+                tests.append(_CELL_TESTS.setdefault(test, test))
+        return tuple(tests)
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -342,8 +380,21 @@ class Rule:
 
         The observing robot's own color is *not* checked here (the caller
         filters rules by ``self_color`` first); only the cell contents are.
+        The guard is compiled once per ``(rule, symmetry)`` (see
+        :meth:`Guard.compile`) and decides exactly as :meth:`Guard.matches`.
         """
-        return self.guard.matches(snapshot, symmetry, center_default=occ(self.self_color))
+        key = (id(self), id(symmetry))
+        entry = _COMPILED.get(key)
+        if entry is None:
+            if len(_COMPILED) >= _MAX_COMPILED:
+                clear_compiled_guards()
+            tests = self.guard.compile(symmetry, occ(self.self_color))
+            # The rule and symmetry ride along so their ids stay pinned.
+            entry = _COMPILED[key] = (tests, self, symmetry)
+        for offset, allowed in entry[0]:
+            if snapshot[offset] not in allowed:
+                return False
+        return True
 
     def action_label(self) -> str:
         """Human-readable action, e.g. ``"G,->"`` or ``"W,Idle"``."""
@@ -352,6 +403,21 @@ class Rule:
 
     def __str__(self) -> str:
         return f"{self.name}: {self.self_color} / {self.action_label()}"
+
+
+#: ``(id(rule), id(symmetry)) -> (compiled tests, rule, symmetry)``, filled
+#: lazily by :meth:`Rule.matches`.  Registered algorithms need a few hundred
+#: entries; the cap only matters to code that mints rules in a loop.
+_COMPILED: Dict[Tuple[int, int], Tuple[CompiledGuard, Rule, Symmetry]] = {}
+_MAX_COMPILED = 65_536
+#: One shared copy of each distinct cell test the compiled guards hold.
+_CELL_TESTS: Dict[tuple, tuple] = {}
+
+
+def clear_compiled_guards() -> None:
+    """Forget every compiled guard (they are rebuilt on the next match)."""
+    _COMPILED.clear()
+    _CELL_TESTS.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ from .backend import (
 from .explorer import Exploration, explore, guaranteed_nodes, has_cycle, topological_order
 from .faults import Fault, FaultInjected, FaultPlan
 from .journal import CampaignJournal, ShardSnapshotStore
-from .matcher import LocalMatcher, MatcherCache, MatcherStats
+from .matcher import LocalMatcher, MatcherCache, MatcherStats, matcher_for, process_cache
 from .packed import (
     HAS_NUMPY,
     KERNELS,
@@ -96,7 +96,6 @@ from .pool import (
     ExplorationPool,
     default_workers,
     estimate_states,
-    process_cache,
 )
 from .profile import PROFILE_ENV, KernelProfile, profiling_enabled
 from .reduction import (
@@ -212,6 +211,7 @@ __all__ = [
     "default_workers",
     "estimate_states",
     "process_cache",
+    "matcher_for",
     # backends
     "ExecutionBackend",
     "SerialBackend",

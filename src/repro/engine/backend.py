@@ -45,8 +45,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from .campaign import CampaignTask, VerificationReport, run_task
-from .matcher import MatcherCache
-from .pool import ExploreKey, ExplorationPool, expand_shard, process_cache
+from .matcher import MatcherCache, process_cache
+from .pool import ExploreKey, ExplorationPool, expand_shard
 from .states import SchedulerState
 
 __all__ = [
@@ -223,7 +223,7 @@ class SerialBackend:
     :func:`~repro.engine.pool.expand_shard`), so its results *are* the
     parity baseline the other backends are tested against.  Matching runs
     against this process's persistent
-    :func:`~repro.engine.pool.process_cache`, exactly as it would inside a
+    :func:`~repro.engine.matcher.process_cache`, exactly as it would inside a
     pool worker — the backend equivalent of a one-worker pool that stays
     warm across workloads.
     """
@@ -499,7 +499,7 @@ def backend_cache(backend) -> Optional[MatcherCache]:
     process boundary) run in the calling process; routing them onto the
     backend's own cache — the pool's coordinator cache for
     :class:`PoolBackend`, this process's
-    :func:`~repro.engine.pool.process_cache` for :class:`SerialBackend`
+    :func:`~repro.engine.matcher.process_cache` for :class:`SerialBackend`
     (whose "worker" *is* this process) — keeps them as warm as the
     backend's registered workloads.  Backends without an in-process cache
     (TCP daemons keep theirs remote) return ``None`` and the caller falls

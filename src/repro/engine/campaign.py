@@ -31,8 +31,8 @@ from ..core.algorithm import Algorithm
 from ..core.errors import VerificationError
 from ..core.execution import ExecutionResult
 from ..core.grid import Grid
-from .matcher import LocalMatcher, MatcherCache
-from .pool import ExplorationPool, default_workers, process_cache, registered
+from .matcher import LocalMatcher, MatcherCache, matcher_for
+from .pool import ExplorationPool, default_workers, registered
 from .reduction import normalize_reduction
 from .suites import default_grid_suite
 from .walk import TieBreak, run_async, run_fsync, run_ssync
@@ -206,9 +206,9 @@ def verify_one(
 ) -> VerificationReport:
     """Check Definition 1 on one bounded execution.
 
-    ``cache`` (a :class:`~repro.engine.matcher.MatcherCache`) lets repeated
-    calls share snapshot/match memo tables — across seeds, models *and*
-    grid sizes; the run's own hit/miss delta is recorded on the report.
+    Matching runs on the process-wide table unless ``cache`` (a
+    :class:`~repro.engine.matcher.MatcherCache`) is given; the run's own
+    hit/miss delta is recorded on the report.
 
     ``seed=None`` is normalized to ``0`` *before* the run, and the report
     records the normalized value: the seed on a
@@ -244,8 +244,8 @@ def _run_verify_one(
 ) -> VerificationReport:
     """The uncached body of :func:`verify_one` (seed already normalized)."""
     grid = Grid(m, n)
-    matcher = cache.matcher_for(algorithm, grid) if cache is not None else None
-    stats_before = matcher.stats.snapshot() if matcher is not None else None
+    matcher = matcher_for(algorithm, grid, cache)
+    stats_before = matcher.stats.snapshot()
     try:
         result = _execute(algorithm, grid, model, seed, tie_break, max_steps, matcher=matcher)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -266,7 +266,7 @@ def _run_verify_one(
         reason = f"did not terminate within {result.steps} steps"
     elif not result.explored:
         reason = f"terminated with {len(result.unvisited)} unvisited nodes"
-    delta = matcher.stats.delta_since(stats_before) if matcher is not None else None
+    delta = matcher.stats.delta_since(stats_before)
     return VerificationReport(
         algorithm=algorithm.name,
         model=model,
@@ -277,8 +277,8 @@ def _run_verify_one(
         steps=result.steps,
         moves=result.total_moves,
         reason=reason,
-        cache_hits=delta.hits if delta is not None else None,
-        cache_misses=delta.misses if delta is not None else None,
+        cache_hits=delta.hits,
+        cache_misses=delta.misses,
     )
 
 
@@ -423,8 +423,8 @@ def run_task(task: CampaignTask) -> VerificationReport:
 
     This is the worker entry point of the parallel engine; it must stay a
     module-level function so ``multiprocessing`` can pickle it.  Matching
-    runs against the worker's persistent
-    :func:`~repro.engine.pool.process_cache` — the very cache the sharded
+    runs against the worker's
+    :func:`~repro.engine.matcher.process_cache` — the very cache the sharded
     explorer warms in the same worker, so on a long-lived
     :class:`~repro.engine.pool.ExplorationPool` campaign tasks and
     explorations keep each other warm across an entire session.
@@ -440,7 +440,6 @@ def run_task(task: CampaignTask) -> VerificationReport:
             model=task.model,
             reduction=task.reduction,
             max_states=task.max_states,
-            cache=process_cache(),
             kernel=task.kernel,
         )
     return verify_one(
@@ -451,7 +450,6 @@ def run_task(task: CampaignTask) -> VerificationReport:
         seed=task.seed,
         tie_break=task.tie_break,
         max_steps=task.max_steps,
-        cache=process_cache(),
     )
 
 
@@ -489,14 +487,12 @@ def execute_tasks(
     Unlike :func:`run_task` this works for algorithms that are not in the
     registry (ad-hoc/test algorithms); the results are identical to the
     parallel path for registered ones because both routes call
-    :func:`verify_one` / :func:`check_one` per task kind.  One
-    :class:`MatcherCache` (``cache``, freshly created by default) is
-    shared across the whole task list, so every task after the first starts
-    warm on the patterns already seen — including at other grid sizes.
+    :func:`verify_one` / :func:`check_one` per task kind.  Every task
+    matches on ``cache`` when given, else on the process-wide table, so
+    each starts warm on the patterns already seen — at any grid size.
     ``store`` forwards to :func:`verify_one` / :func:`check_one` per task,
     so repeated task lists are served from the verdict store.
     """
-    cache = cache if cache is not None else MatcherCache()
     reports = []
     for task in tasks:
         if task.kind == "check":
@@ -787,14 +783,7 @@ class ParallelCampaignEngine:
             return
         workers = min(self.workers, self.pool.workers) if self.pool is not None else self.workers
         if workers <= 1 or len(pending) <= 1 or not registered(algorithm):
-            if self.pool is not None:
-                cache = self.pool.cache
-            elif self.backend is not None:
-                from .backend import backend_cache  # local import: module cycle
-
-                cache = backend_cache(self.backend)
-            else:
-                cache = MatcherCache()
+            cache = self._fallback_cache()
             for index in pending:
                 commit(index, execute_tasks(algorithm, [tasks[index]], cache=cache)[0])
             return
@@ -812,6 +801,17 @@ class ParallelCampaignEngine:
             for index, report in zip(pending, reports):
                 commit(index, report)
 
+    def _fallback_cache(self) -> Optional[MatcherCache]:
+        """The cache of in-process runs: the pool's (or backend's) coordinator
+        cache when the engine has one, else ``None`` (the process-wide table)."""
+        if self.pool is not None:
+            return self.pool.cache
+        if self.backend is not None:
+            from .backend import backend_cache  # local import: module cycle
+
+            return backend_cache(self.backend)
+        return None
+
     def _dispatch(self, algorithm: Algorithm, tasks: List[CampaignTask]) -> List[VerificationReport]:
         if self.backend is not None and tasks and registered(algorithm):
             # Even a single task ships: a remote backend's workers are not
@@ -820,18 +820,7 @@ class ParallelCampaignEngine:
         # A pool can never offer more parallelism than it has workers.
         workers = min(self.workers, self.pool.workers) if self.pool is not None else self.workers
         if workers <= 1 or len(tasks) <= 1 or not registered(algorithm):
-            # In-process fallback; on the pool's (or backend's) coordinator
-            # cache when the engine has one, so serially-routed campaigns
-            # stay as warm across calls as the workers would have been.
-            if self.pool is not None:
-                cache = self.pool.cache
-            elif self.backend is not None:
-                from .backend import backend_cache  # local import: module cycle
-
-                cache = backend_cache(self.backend)
-            else:
-                cache = None
-            return execute_tasks(algorithm, tasks, cache=cache)
+            return execute_tasks(algorithm, tasks, cache=self._fallback_cache())
         if self.pool is not None:
             return self.pool.map(run_task, tasks, chunksize=self.chunksize)
         import multiprocessing

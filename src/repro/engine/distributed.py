@@ -16,7 +16,7 @@ systems and reduction pipelines from the specs inside the payloads
 pool workers today), evaluate them with the battle-tested worker functions
 (:func:`~repro.engine.campaign.run_task`,
 :func:`~repro.engine.pool.expand_shard`) against their process-persistent
-:func:`~repro.engine.pool.process_cache`, and stream the results back.
+:func:`~repro.engine.matcher.process_cache`, and stream the results back.
 
 Wire protocol
 =============
@@ -1372,7 +1372,7 @@ def worker_connection_loop(
     """One worker connection: register, pull work, stream results back.
 
     Runs in its own process (one per ``--workers`` slot), so the matcher
-    tables :func:`~repro.engine.pool.process_cache` accumulates survive
+    tables :func:`~repro.engine.matcher.process_cache` accumulates survive
     across every task and shard this connection ever evaluates — the
     distributed analogue of a pool worker's cache persistence.
 

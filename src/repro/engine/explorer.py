@@ -64,11 +64,12 @@ class Exploration:
     #: (``None`` for the identity or when not reduced).
     root_sym: Optional[object] = field(default=None)
     #: Matcher cache counters accumulated *during this exploration* —
-    #: ``{"hits", "misses", "hit_rate"}`` — observability for the
-    #: snapshot/match memo layer (aggregated across workers when the
-    #: exploration was sharded).  ``None`` when the transition system does
-    #: not expose a matcher.
-    matcher_stats: Optional[Dict[str, float]] = field(default=None)
+    #: ``{"hits", "misses", "hit_rate"}`` — a per-call delta against the
+    #: shared match table (aggregated across workers when the exploration
+    #: was sharded).  ``None`` when the transition system does not expose a
+    #: matcher.  Excluded from equality: it depends on how warm the table
+    #: already was, which the routes do not promise to agree on.
+    matcher_stats: Optional[Dict[str, float]] = field(default=None, compare=False)
     #: The *active* reduction spec the graph was built under (``"none"``,
     #: ``"grid"``, ``"grid+color+por"``, ...); inert components (e.g. POR
     #: outside ASYNC, a trivial detected color group) drop out.

@@ -1,42 +1,34 @@
-"""Memoized per-robot snapshot and rule-match computation.
+"""Memoized per-robot rule matching, shared process-wide.
 
-Rule matching is the hot inner loop of every engine consumer: evaluating a
-robot's rules means building its radius-``phi`` snapshot and testing every
-``(rule, symmetry)`` pair (up to ``|rules| * 8`` guard evaluations over 5 or
-13 cells).  But a snapshot only depends on the *local neighbourhood* — the
-robot's node plus the positions/colors of robots within distance ``phi`` —
-and during a simulation or state-space exploration the same local patterns
-recur constantly (a robot sweeping an empty row sees the same neighbourhood
-at every column).
+Rule matching is the hot inner loop of every engine consumer: testing every
+``(rule, symmetry)`` pair of a robot's light against its radius-``phi``
+snapshot.  The outcome only depends on the light and the robot's *local
+neighbourhood*, and the same neighbourhoods recur constantly (a robot
+sweeping an empty row sees the same one at every column).
 
-:class:`LocalMatcher` memoizes three layers on that observation, keyed on
-a *translation-invariant* neighbourhood description (phi-capped boundary
-distances plus relative robot offsets), so the sweeping robot above really
-does hit the cache at every interior column:
-
-* ``(walls, relative neighbourhood) -> snapshot``  (snapshot construction),
-* ``(color, walls, relative neighbourhood) -> matches``  (rule evaluation),
-* ``(color, frozen snapshot) -> matches``  (re-evaluation of stored ASYNC
-  snapshots during Compute).
-
-Because the keys are translation invariant *and* cap boundary distances at
-``phi``, they do not mention the grid dimensions at all: the entries are
-valid for the same algorithm on **any** grid.  :class:`MatcherCache`
-exploits this to share one set of memo tables (plus hit/miss statistics)
-between matchers for the same algorithm at different grid sizes — which is
-what lets a grid sweep or a scaling run pay the rule-evaluation cost once
-for every interior pattern instead of once per size.
+:class:`LocalMatcher` memoizes matching in two tables keyed on
+translation-invariant descriptions: ``(color, walls, relative
+neighbourhood) -> (matches, distinct actions)`` and ``(color, frozen
+snapshot) -> matches`` (stored ASYNC snapshots re-evaluated at Compute).
+Snapshots are rebuilt from the key on demand: cheap to build, costly to
+keep.  The keys cap boundary distances at ``phi`` and never mention the
+grid, so an entry is valid for the same algorithm on any grid.
+:class:`MatcherCache` shares one set of tables per algorithm between all
+its matchers, and :func:`process_cache` is the bounded cache every entry
+point uses unless given its own, so a process evaluates each local view
+once, whichever checks, walks or service requests meet it.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import Action, Algorithm, Match
 from ..core.grid import Grid, Node
 from ..core.views import Snapshot, ball_offsets
 
-__all__ = ["LocalMatcher", "MatcherStats", "MatcherCache"]
+__all__ = ["LocalMatcher", "MatcherStats", "MatcherCache", "process_cache", "matcher_for"]
 
 #: A canonical, *position-independent* description of a robot's local
 #: neighbourhood: the wall pattern (its distances to the four grid
@@ -50,12 +42,10 @@ LocalKey = Tuple[Tuple[int, int, int, int], Tuple[Tuple[Node, str], ...]]
 class MatcherStats:
     """Hit/miss counters for the matcher's memo tables.
 
-    A *hit* is any snapshot/match/action lookup served from a memo table; a
-    *miss* is a lookup that had to run the underlying guard evaluation.
-    ``evictions`` counts memo entries dropped by a bounded
-    :class:`MatcherCache` enforcing its ``max_entries`` cap.  The
-    counters are cumulative over the lifetime of the object, which may span
-    many matchers when the stats belong to a shared :class:`MatcherCache`.
+    A *miss* is a lookup that had to evaluate guards; ``evictions`` counts
+    entries a bounded :class:`MatcherCache` dropped.  The counters are
+    cumulative over every matcher (and thread) sharing them; callers
+    report per-call deltas (:meth:`delta_since`).
     """
 
     __slots__ = ("hits", "misses", "evictions")
@@ -105,43 +95,32 @@ class MatcherStats:
 
 
 class LocalMatcher:
-    """Snapshot/match computation for one ``(algorithm, grid)`` pair, memoized.
+    """Match computation for one ``(algorithm, grid)`` pair, memoized.
 
     The memo tables default to private per-matcher dictionaries; a
-    :class:`MatcherCache` may instead hand several matchers for the same
+    :class:`MatcherCache` instead hands every matcher for the same
     algorithm *shared* tables (see :meth:`MatcherCache.matcher_for`), which
     is safe because the keys never mention absolute positions or the grid
-    shape.  ``stats`` counts hits and misses across all three table layers.
+    shape.  Lookups read the tables without locking; inserts take ``lock``
+    so a concurrent eviction never iterates a table mid-insert.
     """
 
-    __slots__ = (
-        "algorithm",
-        "grid",
-        "stats",
-        "_snapshots",
-        "_matches",
-        "_actions",
-        "_frozen_matches",
-    )
+    __slots__ = ("algorithm", "grid", "stats", "_matches", "_frozen_matches", "_lock")
 
     def __init__(
         self,
         algorithm: Algorithm,
         grid: Grid,
         *,
-        tables: Optional[Tuple[dict, dict, dict, dict]] = None,
+        tables: Optional[Tuple[dict, dict]] = None,
         stats: Optional[MatcherStats] = None,
+        lock: Optional[threading.Lock] = None,
     ) -> None:
         self.algorithm = algorithm
         self.grid = grid
         self.stats = stats if stats is not None else MatcherStats()
-        if tables is None:
-            self._snapshots: Dict[LocalKey, Snapshot] = {}
-            self._matches: Dict[Tuple[str, LocalKey], Tuple[Match, ...]] = {}
-            self._actions: Dict[Tuple[str, LocalKey], Tuple[Action, ...]] = {}
-            self._frozen_matches: Dict[tuple, Tuple[Match, ...]] = {}
-        else:
-            self._snapshots, self._matches, self._actions, self._frozen_matches = tables
+        self._lock = lock if lock is not None else threading.Lock()
+        self._matches, self._frozen_matches = tables if tables is not None else ({}, {})
 
     # ------------------------------------------------------------------
     # Local neighbourhood keys
@@ -179,57 +158,69 @@ class LocalMatcher:
             min(grid.n - 1 - cj, phi),
         )
 
+    def _key_of(self, frozen) -> LocalKey:
+        """The local key whose snapshot ``frozen`` is (the inverse of :meth:`snapshot_for_key`)."""
+        cells = dict(frozen)
+        phi = self.algorithm.phi
+        walls = tuple(
+            sum(1 for d in range(1, phi + 1) if cells[(d * di, d * dj)] is not None)
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))
+        )
+        # frozen is sorted by offset and each content by color, so near is sorted.
+        return (walls, tuple((offset, color) for offset, content in frozen if content for color in content))
+
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self, robots: Iterable, center: Node) -> Snapshot:
-        """The (shared, do-not-mutate) snapshot a robot at ``center`` takes."""
-        return self._snapshot_for(self.local_key(robots, center))
+        """The snapshot a robot at ``center`` takes."""
+        return self.snapshot_for_key(self.local_key(robots, center))
 
-    def _snapshot_for(self, key: LocalKey) -> Snapshot:
-        snapshot = self._snapshots.get(key)
-        if snapshot is None:
-            self.stats.misses += 1
-            (north, south, west, east), near = key
-            per_cell: Dict[Node, list] = {}
-            for offset, color in near:  # near is sorted, so color lists come out sorted
-                per_cell.setdefault(offset, []).append(color)
-            snapshot = {}
-            for offset in ball_offsets(self.algorithm.phi):
-                di, dj = offset
-                # The cell exists iff the (phi-capped) boundary distances
-                # admit it; |di|, |dj| <= phi, so the caps lose nothing.
-                if di < -north or di > south or dj < -west or dj > east:
-                    snapshot[offset] = None
-                else:
-                    snapshot[offset] = tuple(per_cell.get(offset, ()))
-            self._snapshots[key] = snapshot
-        else:
-            self.stats.hits += 1
+    def snapshot_for_key(self, key: LocalKey) -> Snapshot:
+        """The snapshot described by an already-computed key."""
+        (north, south, west, east), near = key
+        per_cell: Dict[Node, list] = {}
+        for offset, color in near:  # near is sorted, so color lists come out sorted
+            per_cell.setdefault(offset, []).append(color)
+        snapshot = {}
+        for offset in ball_offsets(self.algorithm.phi):
+            di, dj = offset
+            # The cell exists iff the (phi-capped) boundary distances
+            # admit it; |di|, |dj| <= phi, so the caps lose nothing.
+            if di < -north or di > south or dj < -west or dj > east:
+                snapshot[offset] = None
+            else:
+                snapshot[offset] = tuple(per_cell.get(offset, ()))
         return snapshot
 
     # ------------------------------------------------------------------
     # Matches and actions
     # ------------------------------------------------------------------
+    def _entry(self, key: LocalKey, color: str) -> Tuple[Tuple[Match, ...], Tuple[Action, ...]]:
+        cache_key = (color, key)
+        entry = self._matches.get(cache_key)
+        if entry is None:
+            self.stats.misses += 1
+            algorithm = self.algorithm
+            matches = tuple(algorithm.matches_for_snapshot(self.snapshot_for_key(key), color))
+            entry = (matches, tuple(algorithm.distinct_actions(matches)))
+            with self._lock:
+                self._matches[cache_key] = entry
+        else:
+            self.stats.hits += 1
+        return entry
+
     def matches(self, robots: Iterable, center: Node, color: str) -> Tuple[Match, ...]:
         """All (rule, symmetry) matches for a robot at ``center`` with light ``color``."""
-        return self.matches_for_key(self.local_key(robots, center), color)
+        return self._entry(self.local_key(robots, center), color)[0]
 
     def matches_for_key(self, key: LocalKey, color: str) -> Tuple[Match, ...]:
         """Matches for an already-computed local key (the batched fast path)."""
-        cache_key = (color, key)
-        cached = self._matches.get(cache_key)
-        if cached is None:
-            self.stats.misses += 1
-            cached = tuple(self.algorithm.matches_for_snapshot(self._snapshot_for(key), color))
-            self._matches[cache_key] = cached
-        else:
-            self.stats.hits += 1
-        return cached
+        return self._entry(key, color)[0]
 
     def actions(self, robots: Iterable, center: Node, color: str) -> Tuple[Action, ...]:
         """The distinct enabled actions for a robot at ``center`` with light ``color``."""
-        return self.actions_for_key(self.local_key(robots, center), color)
+        return self._entry(self.local_key(robots, center), color)[1]
 
     def actions_for_key(self, key: LocalKey, color: str) -> Tuple[Action, ...]:
         """Distinct actions for an already-computed local key.
@@ -239,28 +230,22 @@ class LocalMatcher:
         its own position index on a signature-table miss, so it never needs
         the per-robot ``robots`` scan that :meth:`actions` performs.
         """
-        cache_key = (color, key)
-        cached = self._actions.get(cache_key)
-        if cached is None:
-            self.stats.misses += 1
-            cached = tuple(self.algorithm.distinct_actions(self.matches_for_key(key, color)))
-            self._actions[cache_key] = cached
-        else:
-            self.stats.hits += 1
-        return cached
-
-    def snapshot_for_key(self, key: LocalKey) -> Snapshot:
-        """The (shared, do-not-mutate) snapshot for an already-computed key."""
-        return self._snapshot_for(key)
+        return self._entry(key, color)[1]
 
     def matches_for_frozen(self, frozen, color: str) -> Tuple[Match, ...]:
-        """Matches against a stored (frozen) ASYNC snapshot."""
+        """Matches against a stored (frozen) ASYNC snapshot.
+
+        ``frozen`` is ``tuple(sorted(snapshot.items()))`` of a snapshot a
+        robot on a grid can take.  A miss is answered from the key table
+        (which the Look that took the snapshot has usually filled already),
+        so guards are evaluated once per view, however it is asked for.
+        """
         cache_key = (color, frozen)
         cached = self._frozen_matches.get(cache_key)
         if cached is None:
-            self.stats.misses += 1
-            cached = tuple(self.algorithm.matches_for_snapshot(dict(frozen), color))
-            self._frozen_matches[cache_key] = cached
+            cached = self._entry(self._key_of(frozen), color)[0]
+            with self._lock:
+                self._frozen_matches[cache_key] = cached
         else:
             self.stats.hits += 1
         return cached
@@ -297,74 +282,68 @@ class LocalMatcher:
         for robot in robots:
             ci, cj = robot.pos
             near = []
-            for di, dj in offsets:  # offsets are sorted, so near comes out sorted
-                cell = by_pos.get((ci + di, cj + dj))
+            for offset in offsets:  # offsets are sorted, so near comes out sorted
+                cell = by_pos.get((ci + offset[0], cj + offset[1]))
                 if cell:
-                    near.extend(((di, dj), color) for color in cell)
+                    near.extend((offset, color) for color in cell)
             key = (self._walls(robot.pos), tuple(near))
             result.append((robot, self.matches_for_key(key, robot.color)))
         return result
 
 
 class MatcherCache:
-    """Persistent snapshot/match memo tables, shareable across grid sizes.
+    """Bounded, thread-safe memo tables shared by every matcher of an algorithm.
 
-    The matcher's keys are translation invariant and cap boundary distances
-    at ``phi``, so an entry learned on one grid is valid for the same
-    algorithm on *every* grid: only the algorithm's rules, colors and
-    ``phi`` enter the cached computation.  This object owns one set of memo
-    tables (plus one :class:`MatcherStats`) per algorithm and hands out
-    :class:`LocalMatcher` views onto them via :meth:`matcher_for` — thread
-    it through repeated checks (a grid sweep, a scaling run, a campaign) and
-    every size after the first starts warm on all interior patterns.
+    Owns one pair of tables (plus one :class:`MatcherStats`) per algorithm
+    and hands out :class:`LocalMatcher` views onto them via
+    :meth:`matcher_for`.  :func:`process_cache` is the instance every entry
+    point uses by default; pass your own (``cache=``) to isolate a
+    workload.  Sharing is keyed on algorithm *identity*, not name.
 
-    Sharing is keyed on algorithm *identity*, not name, so two distinct
-    algorithm objects that happen to share a name never see each other's
-    entries.  The cache is designed for reuse within one process; the
-    sharded explorer and the parallel campaign engine keep one per worker
-    process instead of shipping it across the boundary.
-
-    ``max_entries`` bounds the total memo entries across all algorithms
-    and table layers.  The bound is enforced at :meth:`matcher_for` time
-    (matchers append to the shared tables without telling the cache, so a
-    burst within one exploration can overshoot until the next handout):
+    ``max_entries`` bounds the total entries across all algorithms and
+    tables.  The bound is enforced at :meth:`matcher_for` time (matchers
+    append to the shared tables without telling the cache, so a burst
+    within one exploration can overshoot until the next handout):
     oldest-inserted entries go first — dict order approximates LRU well
     here because long-running workloads re-insert nothing and the oldest
-    patterns belong to the coldest grids — and every evicted entry counts
-    on the owning algorithm's ``stats.evictions``.  The default cap is
-    high: a process-lifetime campaign cache stays bounded without any
-    realistic workload ever touching it.
+    patterns belong to the coldest workloads — and every evicted entry
+    counts on the owning algorithm's ``stats.evictions``.
+
+    One lock guards registration, eviction and the matchers' inserts, so
+    request threads of the HTTP service can share the cache; lookups stay
+    lock-free.
     """
 
     def __init__(self, max_entries: int = 1_000_000) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._tables: Dict[int, Tuple[dict, dict, dict, dict]] = {}
+        self._lock = threading.Lock()
+        self._tables: Dict[int, Tuple[dict, dict]] = {}
         self._keepalive: Dict[int, Algorithm] = {}
         self._stats: Dict[int, MatcherStats] = {}
 
     def _register(self, algorithm: Algorithm) -> int:
-        """Pin ``algorithm`` (id() keys must not be recycled) and its stats."""
+        """Pin ``algorithm`` (id() keys must not be recycled) and its tables; lock held."""
         key = id(algorithm)
         if key not in self._stats:
             self._keepalive[key] = algorithm
             self._stats[key] = MatcherStats()
+            self._tables[key] = ({}, {})
         return key
 
     def matcher_for(self, algorithm: Algorithm, grid: Grid) -> LocalMatcher:
         """A matcher for ``(algorithm, grid)`` backed by the shared tables."""
-        key = self._register(algorithm)
-        tables = self._tables.get(key)
-        if tables is None:
-            tables = ({}, {}, {}, {})
-            self._tables[key] = tables
-        self._trim()
-        return LocalMatcher(algorithm, grid, tables=tables, stats=self._stats[key])
+        with self._lock:
+            key = self._register(algorithm)
+            self._trim()
+            return LocalMatcher(
+                algorithm, grid, tables=self._tables[key], stats=self._stats[key], lock=self._lock
+            )
 
     def _trim(self) -> None:
-        """Evict oldest-inserted entries until the cache fits its bound."""
-        excess = self.entry_count() - self.max_entries
+        """Evict oldest-inserted entries until the cache fits its bound; lock held."""
+        excess = self._entry_count() - self.max_entries
         if excess <= 0:
             return
         for key, tables in self._tables.items():
@@ -385,21 +364,52 @@ class MatcherCache:
         :meth:`matcher_for` will increment — callers may hold it before any
         matcher exists and never miss a count.
         """
-        return self._stats[self._register(algorithm)]
+        with self._lock:
+            return self._stats[self._register(algorithm)]
 
     @property
     def stats(self) -> MatcherStats:
         """Aggregate counters over every algorithm in the cache."""
         total = MatcherStats()
-        for stats in self._stats.values():
-            total.merge(stats)
+        with self._lock:
+            for stats in self._stats.values():
+                total.merge(stats)
         return total
+
+    def _entry_count(self) -> int:
+        return sum(len(table) for tables in self._tables.values() for table in tables)
 
     def entry_count(self) -> int:
         """Total number of memoized entries across all algorithms and tables."""
-        return sum(len(table) for tables in self._tables.values() for table in tables)
+        with self._lock:
+            return self._entry_count()
 
     def clear(self) -> None:
-        self._tables.clear()
-        self._keepalive.clear()
-        self._stats.clear()
+        with self._lock:
+            self._tables.clear()
+            self._keepalive.clear()
+            self._stats.clear()
+
+
+#: Entries of :func:`process_cache`.  A sweep of every registered algorithm
+#: over the default grid suite fills a few thousand; the bound only keeps a
+#: long-lived service from growing without limit.
+PROCESS_CACHE_ENTRIES = 200_000
+
+_PROCESS_CACHE = MatcherCache(PROCESS_CACHE_ENTRIES)
+
+
+def process_cache() -> MatcherCache:
+    """This process's shared :class:`MatcherCache`.
+
+    Every check, walk, campaign task and service request that is not given
+    an explicit ``cache=`` matches against it, in the calling process and
+    in each pool worker alike, so a local view is evaluated once per
+    process whichever workload meets it first.
+    """
+    return _PROCESS_CACHE
+
+
+def matcher_for(algorithm: Algorithm, grid: Grid, cache: Optional[MatcherCache] = None) -> LocalMatcher:
+    """A matcher on ``cache``, or on :func:`process_cache` when none is given."""
+    return (cache if cache is not None else process_cache()).matcher_for(algorithm, grid)

@@ -77,7 +77,7 @@ from ..core.algorithm import Algorithm
 from ..core.errors import StateSpaceLimitExceeded
 from ..core.grid import Grid
 from ..core.views import ball_offsets
-from .matcher import LocalMatcher
+from .matcher import LocalMatcher, matcher_for
 from .profile import KernelProfile, profiling_enabled
 from .states import AsyncRobotState, SchedulerState, initial_state
 from .transition import MODELS, AlgorithmTransitionSystem
@@ -593,7 +593,7 @@ class PackedTransitionSystem:
         self.algorithm = algorithm
         self.grid = grid
         self.model = model
-        self.matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
+        self.matcher = matcher if matcher is not None else matcher_for(algorithm, grid)
         self.space = PackedSpace(algorithm, grid, self.matcher, use_numpy=use_numpy)
         self._expand = {
             "FSYNC": self._expand_fsync,

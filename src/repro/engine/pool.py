@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid
 from .explorer import Exploration
-from .matcher import MatcherCache
+from .matcher import MatcherCache, process_cache
 from .reduction import (
     ReductionPipeline,
     ReductionSpec,
@@ -155,31 +155,12 @@ def estimate_states(
 #: working and mean the object kernel.
 ExploreKey = Tuple[str, int, int, str, str, str]  # (algorithm, m, n, model, reduction, kernel)
 
-_PROCESS_CACHE: Optional[MatcherCache] = None
-
 #: Transition systems this process has already configured, keyed by
 #: :data:`ExploreKey` — kept so re-exploring the same workload skips even
 #: the (cheap) system and pipeline construction.  Bounded; see
 #: :data:`_MAX_SYSTEMS`.
 _SYSTEMS: Dict[ExploreKey, Tuple[object, ReductionPipeline]] = {}
 _MAX_SYSTEMS = 64
-
-
-def process_cache() -> MatcherCache:
-    """This process's persistent :class:`MatcherCache` (created on first use).
-
-    In a pool worker it outlives individual explorations and campaign
-    tasks — both :func:`expand_shard` and
-    :func:`repro.engine.campaign.run_task` match against it — which is what
-    makes a long-lived :class:`ExplorationPool` start every workload after
-    the first warm.  (The memo keys are grid-size independent and keyed on
-    algorithm identity, so sharing across workloads never changes results;
-    see :class:`~repro.engine.matcher.MatcherCache`.)
-    """
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = MatcherCache()
-    return _PROCESS_CACHE
 
 
 def _system(key: ExploreKey) -> Tuple[object, ReductionPipeline]:

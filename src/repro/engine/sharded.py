@@ -15,7 +15,7 @@ frontier over a ``multiprocessing`` pool, wave by wave:
 2. **Expand.** Every worker expands its shard with a process-local
    :class:`~repro.engine.transition.AlgorithmTransitionSystem` whose
    matcher is backed by the worker's persistent
-   :func:`~repro.engine.pool.process_cache`, through a process-local
+   :func:`~repro.engine.matcher.process_cache`, through a process-local
    :class:`~repro.engine.reduction.ReductionPipeline` rebuilt from the
    spec carried in the shard payload — so partial-order pruning and
    canonicalization happen worker-side, and each edge is labelled with the
@@ -36,7 +36,8 @@ group and detected color group are pure functions of the (registry-
 resolved) algorithm and grid, and representatives are order-independent
 minima over the product orbit.
 
-By default each call spawns an ephemeral pool that lives for the one
+By default (``workers=None``) the exploration runs serially in the calling
+process.  ``workers > 1`` spawns an ephemeral pool that lives for the one
 exploration (worker caches stay warm across its waves).  Pass ``pool=`` —
 a long-lived :class:`~repro.engine.pool.ExplorationPool` — to reuse
 already-spawned workers instead: startup is amortised across explorations
@@ -61,7 +62,7 @@ from ..core.errors import StateSpaceLimitExceeded
 from ..core.grid import Grid
 from ..core.algorithm import Algorithm
 from .explorer import Exploration, explore
-from .matcher import MatcherCache, MatcherStats
+from .matcher import MatcherCache, MatcherStats, matcher_for
 from .packed import build_transition_system, normalize_kernel
 from .pool import ExploreKey, ExplorationPool, default_workers, expand_shard, registered
 from .reduction import ReductionPipeline, ReductionSpec, normalize_reduction
@@ -129,12 +130,12 @@ def explore_sharded(
     ``wire_stats``; otherwise it fans its shards out through the
     stateless ``backend.map_shards`` (sharded even at one worker: a
     remote backend's single worker is still not this process), with the
-    backend's ``parallelism`` as the shard count.  Falls back to the serial explorer
-    when ``workers <= 1`` (and no backend is given) or when the algorithm
-    is not in the registry (its rules cannot cross the process boundary);
-    the fallback runs on ``cache`` — or, absent that, the pool's
-    coordinator cache — so a caller-supplied cache is honoured on every
-    route.
+    backend's ``parallelism`` as the shard count.  Runs the serial explorer
+    when ``workers`` is ``None`` (the default) or ``<= 1`` and neither a
+    pool nor a backend is given, or when the algorithm is not in the
+    registry (its rules cannot cross the process boundary); the serial
+    route matches on ``cache``, else the pool's (or backend's) coordinator
+    cache, else the process-wide table.
 
     ``store`` — a :class:`~repro.engine.store.VerdictStore` — serves the
     whole exploration from the verdict cache when its content key
@@ -231,7 +232,7 @@ def _route_exploration(
         # pretending to shard in-process.
         workers = pool.workers if workers is None else min(workers, pool.workers)
     elif workers is None:
-        workers = default_workers()
+        workers = 1
     if workers <= 1 or not registered(algorithm):
         if cache is None:
             if pool is not None:
@@ -243,8 +244,9 @@ def _route_exploration(
                 from .backend import backend_cache  # local import: module cycle
 
                 cache = backend_cache(backend)
-        matcher = cache.matcher_for(algorithm, grid) if cache is not None else None
-        ts = build_transition_system(algorithm, grid, model, knorm, matcher=matcher)
+        ts = build_transition_system(
+            algorithm, grid, model, knorm, matcher=matcher_for(algorithm, grid, cache)
+        )
         return explore(ts, reduction=spec, max_states=max_states, start=start)
 
     if pool is not None:

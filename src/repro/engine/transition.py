@@ -33,7 +33,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..core.algorithm import Algorithm
 from ..core.grid import Grid
-from .matcher import LocalMatcher
+from .matcher import LocalMatcher, matcher_for
 from .states import AsyncRobotState, SchedulerState, freeze_snapshot, initial_state
 
 __all__ = ["MODELS", "TransitionSystem", "AlgorithmTransitionSystem"]
@@ -63,10 +63,9 @@ class TransitionSystem(Protocol):
 class AlgorithmTransitionSystem:
     """The authoritative FSYNC/SSYNC/ASYNC successor generator.
 
-    One instance carries a :class:`~repro.engine.matcher.LocalMatcher`, so
-    reusing the instance across many expansions (or across repeated checks
-    of the same ``(algorithm, grid, model)`` triple) amortises snapshot and
-    rule-match computation.
+    One instance carries a :class:`~repro.engine.matcher.LocalMatcher` —
+    on the process-wide table unless ``matcher`` is given — so every
+    expansion reuses the rule matches any earlier workload computed.
     """
 
     __slots__ = ("algorithm", "grid", "model", "matcher", "_expand")
@@ -78,7 +77,7 @@ class AlgorithmTransitionSystem:
         self.algorithm = algorithm
         self.grid = grid
         self.model = model
-        self.matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
+        self.matcher = matcher if matcher is not None else matcher_for(algorithm, grid)
         self._expand = {
             "FSYNC": self._successors_fsync,
             "SSYNC": self._successors_ssync,

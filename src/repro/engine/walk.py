@@ -24,12 +24,12 @@ order) or ``"random"``.  The random policy draws from a **per-run**
 the seed is recorded on the :class:`~repro.core.execution.ExecutionResult`
 so any run can be replayed exactly.
 
-All snapshot construction and rule matching goes through one
-:class:`~repro.engine.matcher.LocalMatcher` per run, so recurring local
-neighbourhoods (a robot sweeping an empty row) are evaluated once.  Callers
-that run many executions of the same algorithm (campaigns, scaling sweeps)
-can pass ``matcher=`` explicitly — typically obtained from a
-:class:`~repro.engine.matcher.MatcherCache` — to start every run warm.
+All rule matching goes through a :class:`~repro.engine.matcher.LocalMatcher`
+on the process-wide table (:func:`~repro.engine.matcher.process_cache`),
+so recurring local neighbourhoods (a robot sweeping an empty row) are
+evaluated once per process, across runs, grid sizes and models.  Pass
+``matcher=`` — typically from a :class:`~repro.engine.matcher.MatcherCache`
+of your own — to run on other tables.
 
 The synchronous engines step through a *batched* fast path: each round the
 matcher builds one neighbourhood index for the whole configuration and
@@ -55,7 +55,7 @@ from ..core.robot import Robot
 from ..core.scheduler import AsyncScheduler, RandomAsync, RandomSubset, SsyncScheduler
 from ..core.views import Snapshot
 from ..core.world import World
-from .matcher import LocalMatcher
+from .matcher import LocalMatcher, matcher_for
 
 __all__ = [
     "TieBreak",
@@ -240,13 +240,12 @@ def run_fsync(
 ) -> ExecutionResult:
     """Simulate the algorithm under the fully synchronous scheduler.
 
-    ``matcher`` may be supplied (typically from a shared
-    :class:`~repro.engine.matcher.MatcherCache`) to reuse snapshot/match
-    memo tables across runs; by default each run gets a private one.
+    ``matcher`` overrides the process-wide match table (see
+    :func:`~repro.engine.matcher.matcher_for`).
     """
     TieBreak.validate(tie_break)
     rng = random.Random(seed)
-    matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
+    matcher = matcher if matcher is not None else matcher_for(algorithm, grid)
     world = algorithm.initial_world(grid)
     recorder = _Recorder(algorithm, world, "FSYNC", record_trace, seed=seed, tie_break=tie_break)
     budget = max_steps if max_steps is not None else default_step_budget(grid, algorithm.k, "FSYNC")
@@ -275,7 +274,7 @@ def run_ssync(
     TieBreak.validate(tie_break)
     rng = random.Random(seed)
     scheduler = scheduler if scheduler is not None else RandomSubset(seed=seed)
-    matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
+    matcher = matcher if matcher is not None else matcher_for(algorithm, grid)
     world = algorithm.initial_world(grid)
     recorder = _Recorder(algorithm, world, "SSYNC", record_trace, seed=seed, tie_break=tie_break)
     budget = max_steps if max_steps is not None else default_step_budget(grid, algorithm.k, "SSYNC")
@@ -339,7 +338,7 @@ def run_async(
     TieBreak.validate(tie_break)
     rng = random.Random(seed)
     scheduler = scheduler if scheduler is not None else RandomAsync(seed=seed)
-    matcher = matcher if matcher is not None else LocalMatcher(algorithm, grid)
+    matcher = matcher if matcher is not None else matcher_for(algorithm, grid)
     world = algorithm.initial_world(grid)
     recorder = _Recorder(algorithm, world, "ASYNC", record_trace, seed=seed, tie_break=tie_break)
     budget = max_steps if max_steps is not None else default_step_budget(grid, algorithm.k, "ASYNC")

@@ -4,8 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+import repro.engine.pool as pool_module
 from repro import core
 from repro.algorithms import all_algorithms, get
+from repro.core.rules import clear_compiled_guards
+from repro.engine.matcher import process_cache
+
+
+@pytest.fixture(autouse=True)
+def fresh_match_tables():
+    """Start every test on an empty process-wide match table.
+
+    Every entry point matches against :func:`repro.engine.matcher.process_cache`
+    unless given ``cache=``, and fork-started pool workers inherit it, so a
+    table warmed by an earlier test would change the hit/miss counters a
+    later one asserts (never its results: memoization only skips work).
+    The worker-side transition systems hold matchers on that table, so
+    they go too, and the compiled guards are dropped with them.
+    """
+    process_cache().clear()
+    pool_module._SYSTEMS.clear()
+    clear_compiled_guards()
 
 
 @pytest.fixture(scope="session")

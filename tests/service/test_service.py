@@ -102,6 +102,23 @@ class TestExplore:
         assert warm["observability"]["store_stats"]["outcome"] == "hit"
         assert warm["verdict"] == cold["verdict"]
 
+    def test_default_service_explores_without_a_process_pool(self, harness, monkeypatch):
+        import multiprocessing
+
+        calls = []
+        real = multiprocessing.get_context
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        spec = {"algorithm": "async_phi2_l2_nochir_k4", "m": 4, "n": 4, "model": "ASYNC"}
+        code, body, _ = harness.post("/v1/explore", spec)
+        assert code == 200
+        assert body["verdict"]["num_states"] == 130
+        assert calls == []  # the serial service explores in-process
+
 
 class TestValidationAndErrors:
     @pytest.mark.parametrize(
